@@ -332,42 +332,58 @@ func BenchmarkKernelModes(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelQueues compares the kernel's two event-queue
-// implementations under sustained depth: N outstanding timers, each
-// rescheduling itself at a random offset. Queue depth is where the
-// calendar queue's O(1) push/pop beats the heap's O(log n).
+// BenchmarkKernelQueues measures the kernel's event queue under
+// sustained depth. "timers": N outstanding timers, each re-arming itself
+// at a random offset when it fires. "reschedule": N pending handles and
+// one Reschedule per dispatch, the flow solver's re-rate pattern, which
+// must cost the same O(log n) as a push at any depth.
 func BenchmarkKernelQueues(b *testing.B) {
-	kinds := []struct {
-		name string
-		kind sim.QueueKind
-	}{
-		{"heap", sim.QueueHeap},
-		{"calendar", sim.QueueCalendar},
-	}
-	for _, q := range kinds {
-		for _, depth := range []int{1024, 32768} {
-			b.Run(fmt.Sprintf("%s/depth=%d", q.name, depth), func(b *testing.B) {
-				k := sim.NewWithQueue(1, q.kind)
-				rng := rand.New(rand.NewSource(1))
-				fired := 0
-				for i := 0; i < depth; i++ {
-					var fn func()
-					fn = func() {
-						fired++
-						if fired+depth <= b.N {
-							k.After(time.Duration(1+rng.Intn(1000))*time.Microsecond, fn)
-						}
+	for _, depth := range []int{1024, 32768} {
+		b.Run(fmt.Sprintf("timers/depth=%d", depth), func(b *testing.B) {
+			k := sim.New(1)
+			rng := rand.New(rand.NewSource(1))
+			fired := 0
+			for i := 0; i < depth; i++ {
+				var fn func()
+				fn = func() {
+					fired++
+					if fired+depth <= b.N {
+						k.After(time.Duration(1+rng.Intn(1000))*time.Microsecond, fn)
 					}
-					k.After(time.Duration(1+rng.Intn(1000))*time.Microsecond, fn)
 				}
-				if err := k.Run(); err != nil {
-					b.Fatal(err)
+				k.After(time.Duration(1+rng.Intn(1000))*time.Microsecond, fn)
+			}
+			if err := k.Run(); err != nil {
+				b.Fatal(err)
+			}
+			if fired < b.N && fired != depth {
+				b.Fatalf("fired %d events, want >= %d", fired, b.N)
+			}
+		})
+		b.Run(fmt.Sprintf("reschedule/depth=%d", depth), func(b *testing.B) {
+			k := sim.New(1)
+			rng := rand.New(rand.NewSource(1))
+			noop := func() {}
+			evs := make([]*sim.Event, depth)
+			for i := range evs {
+				evs[i] = k.After(time.Duration(1+rng.Intn(1000))*time.Second, noop)
+			}
+			n := 0
+			var step func()
+			step = func() {
+				evs[rng.Intn(depth)].Reschedule(k.LoopNow().Add(time.Duration(1+rng.Intn(1000)) * time.Second))
+				if n++; n < b.N {
+					k.Schedule(k.LoopNow().Add(time.Microsecond), step)
 				}
-				if fired < b.N && fired != depth {
-					b.Fatalf("fired %d events, want >= %d", fired, b.N)
-				}
-			})
-		}
+			}
+			k.After(time.Microsecond, step)
+			if err := k.RunUntil(sim.Time(time.Hour)); err != nil {
+				b.Fatal(err)
+			}
+			if n != b.N {
+				b.Fatalf("ran %d reschedules, want %d", n, b.N)
+			}
+		})
 	}
 }
 

@@ -133,7 +133,7 @@ func (tc *tokenChecker) collect() {
 				}
 				tc.setMarkers(fn, bits)
 			case *ast.GenDecl:
-				// Interface methods may be annotated too (timerQueue).
+				// Interface methods may be annotated too.
 				for _, spec := range d.Specs {
 					ts, ok := spec.(*ast.TypeSpec)
 					if !ok {

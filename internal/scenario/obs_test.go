@@ -108,4 +108,7 @@ func TestObsFinalCountersMirrorStats(t *testing.T) {
 	if got := snap.Total("p2plab_sim_events_total"); got != float64(res.Kernel.Events) {
 		t.Errorf("sim events counter = %g, want %d", got, res.Kernel.Events)
 	}
+	if snap.Find("p2plab_sim_queue_depth") == nil {
+		t.Error("queue depth gauge not registered")
+	}
 }

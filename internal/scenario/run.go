@@ -21,12 +21,10 @@ import (
 )
 
 // Options tunes how a scenario is executed without changing what it
-// describes. The zero value is the standard run.
+// describes. The zero value is the standard run. None of the options
+// changes the run's schedule: Trace and Obs only observe it, and Seed
+// selects which run of the scenario is made.
 type Options struct {
-	// Queue selects the kernel's event-queue implementation; the zero
-	// value is the calendar queue. The golden-trace tests run every
-	// corpus scenario under both kinds and require identical traces.
-	Queue sim.QueueKind
 	// Trace, when non-nil, records the full event stream of the run
 	// (network sends/deliveries/drops, flow re-rates, scenario timeline
 	// events) — the basis of the golden-trace regression tests.
@@ -113,7 +111,7 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 
 	r := &runner{
 		spec:    sp,
-		k:       sim.NewWithQueue(sp.Seed, opt.Queue),
+		k:       sim.New(sp.Seed),
 		tracer:  opt.Trace,
 		groups:  make(map[string][]*vnet.Host, len(sp.Groups)),
 		prefix:  make(map[string]ip.Prefix, len(sp.Groups)),
@@ -154,7 +152,7 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 	ncfg.Obs = opt.Obs
 	if opt.Obs != nil {
 		// Kernel instruments: pull-style, evaluated only at snapshot
-		// time (Kernel.Snapshot/QueueResizes take the kernel mutex, which
+		// time (Kernel.Snapshot/QueueDepth take the kernel mutex, which
 		// is free while a kernel callback runs).
 		k := r.k
 		opt.Obs.CounterFunc("p2plab_sim_events_total", "Kernel callbacks dispatched.", func() uint64 {
@@ -166,8 +164,8 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 		opt.Obs.CounterFunc("p2plab_sim_spawns_total", "Simulated tasks created.", func() uint64 {
 			return k.Snapshot().Spawns
 		})
-		opt.Obs.CounterFunc("p2plab_sim_queue_resizes_total", "Calendar-queue rebuilds (0 under the heap queue).", func() uint64 {
-			return k.QueueResizes()
+		opt.Obs.GaugeFunc("p2plab_sim_queue_depth", "Pending kernel events (all live: cancellation removes in place).", func() float64 {
+			return float64(k.QueueDepth())
 		})
 		opt.Obs.GaugeFunc("p2plab_sim_virtual_seconds", "Current virtual time of the run.", func() float64 {
 			return k.Now().Seconds()

@@ -65,8 +65,7 @@ func (c *Cond) wait(p *Proc, d Duration) bool {
 				k.wake(w.t)
 			}
 		}
-		ev := k.alloc(k.now.Add(d), w.timeoutFn)
-		k.events.push(ev)
+		ev := k.push(k.now.Add(d), w.timeoutFn)
 		w.timerEv, w.timerGen = ev, ev.gen
 	}
 	p.park()
@@ -98,9 +97,10 @@ func (c *Cond) Signal() {
 		}
 		w.fired = true
 		// A live pending timer (gen still matches) must not fire for a
-		// waiter that has been signalled — and possibly reused since.
+		// waiter that has been signalled — and possibly reused since —
+		// so it leaves the queue now.
 		if w.timerEv != nil && w.timerEv.gen == w.timerGen {
-			w.timerEv.dead = true
+			c.k.cancel(w.timerEv)
 		}
 		c.k.wake(w.t)
 		return

@@ -56,21 +56,18 @@ func (t Time) String() string { return Duration(t).String() }
 // event is a scheduled callback. Callbacks run inside the kernel loop and
 // must not block; they typically wake parked tasks or schedule more events.
 //
-// event structs are pooled on a per-kernel free list: after dispatch (or
-// a cancelled event's lazy removal) the struct is recycled for the next
-// schedule. gen distinguishes incarnations so a stale Event handle held
-// across recycling can no longer cancel or reschedule the new occupant.
+// event structs are pooled on a per-kernel free list: after dispatch or
+// cancellation the struct is recycled for the next schedule. gen
+// distinguishes incarnations so a stale Event handle held across
+// recycling can no longer cancel or reschedule the new occupant; a
+// handle whose gen matches always refers to a queued event.
 type event struct {
-	at      Time
-	seq     uint64 // FIFO tie-break for events at the same instant
-	fn      func()
-	next    *event // calendar-queue slot chain / free-list link
-	tie     *event // calendar queue: next event at the same instant
-	tieTail *event // calendar queue: last event of a slot head's tie run
-	idx     int    // heap index (QueueHeap only)
-	gen     uint64 // incarnation counter, bumped on recycle
-	dead    bool   // cancelled; skipped (and recycled) at dispatch
-	queued  bool   // currently in the timer queue
+	at   Time
+	seq  uint64 // FIFO tie-break for events at the same instant
+	fn   func()
+	next *event // free-list link
+	idx  int    // slot in the kernel's eventQueue while pending
+	gen  uint64 // incarnation counter, bumped on recycle
 }
 
 // task is the kernel-side state of one simulated goroutine.
@@ -105,7 +102,7 @@ type killedPanic struct{}
 // mu still guards the cold boundary where true concurrency can exist:
 // the running/cond handshake itself, spawn (Go), Stop, the cancellable
 // At/After/Event handles, and the external observers Now/Snapshot/
-// QueueResizes (meaningful when the kernel is idle). Helpers suffixed
+// QueueDepth (meaningful when the kernel is idle). Helpers suffixed
 // "Locked" require mu; everything else requires the token.
 type Kernel struct {
 	mu   sync.Mutex
@@ -113,7 +110,7 @@ type Kernel struct {
 
 	now     Time
 	seq     uint64
-	events  timerQueue
+	events  eventQueue
 	free    *event  // recycled event structs
 	ready   []*task // runnable tasks, FIFO
 	running bool    // a task currently holds the execution token
@@ -138,21 +135,10 @@ type Stats struct {
 
 // New returns a kernel whose random source is seeded with seed.
 // The same seed and workload reproduce the same run exactly.
-func New(seed int64) *Kernel { return NewWithQueue(seed, QueueCalendar) }
-
-// NewWithQueue returns a kernel using the given event-queue
-// implementation. Both kinds dispatch in identical order; QueueHeap
-// exists for differential tests and benchmarks against QueueCalendar.
-func NewWithQueue(seed int64, kind QueueKind) *Kernel {
+func New(seed int64) *Kernel {
 	k := &Kernel{
 		rng:     rand.New(rand.NewSource(seed)),
 		blocked: make(map[*task]struct{}),
-	}
-	switch kind {
-	case QueueHeap:
-		k.events = &heapQueue{}
-	default:
-		k.events = newCalQueue()
 	}
 	k.cond = sync.NewCond(&k.mu)
 	return k
@@ -184,15 +170,19 @@ func (k *Kernel) Snapshot() Stats {
 	return k.stats
 }
 
-// QueueResizes returns how many times the event queue restructured
-// itself (calendar-queue rebuilds; always 0 under QueueHeap). Kept out
-// of Stats on purpose: golden-trace digests include Stats and must be
-// identical across queue kinds, while this counter is queue-specific.
-func (k *Kernel) QueueResizes() uint64 {
+// QueueDepth returns the number of pending events. Cancelled events
+// are removed at once, so every queued event is live. Kept out of
+// Stats: it is a health gauge, not part of a run's digest.
+func (k *Kernel) QueueDepth() int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.events.resizes()
+	return len(k.events)
 }
+
+// QueueResizes always returns 0: the binary-heap event queue never
+// restructures itself. It survives for the perfbench harness, which
+// still reports it as sim.queue_resizes.
+func (k *Kernel) QueueResizes() uint64 { return 0 }
 
 // Rand returns the kernel's deterministic random source. Because simulated
 // goroutines execute one at a time, sharing one source is race-free and
@@ -308,24 +298,10 @@ func (k *Kernel) sched(self *task) {
 			<-self.wake
 			return
 		}
-		if k.events.len() > 0 {
-			ev := k.events.pop()
-			if ev.dead {
-				k.recycle(ev)
-				continue
+		if len(k.events) > 0 {
+			if fn := k.next(); fn != nil {
+				fn()
 			}
-			if k.limit > 0 && ev.at > k.limit {
-				k.now = k.limit
-				k.recycle(ev)
-				k.drain()
-				k.halted = true
-				break
-			}
-			k.now = ev.at
-			k.stats.Events++
-			fn := ev.fn
-			k.recycle(ev)
-			fn()
 			continue
 		}
 		break // no work: completion or deadlock — Run decides which
@@ -335,6 +311,27 @@ func (k *Kernel) sched(self *task) {
 	k.cond.Signal()
 	k.mu.Unlock()
 	<-self.wake
+}
+
+// next pops the earliest pending event, advances the clock to it and
+// returns its callback. If that event lies past the RunUntil horizon it
+// instead drops every pending event, stops the clock at the horizon,
+// sets halted and returns nil. The queue must not be empty.
+//
+//p2p:token
+func (k *Kernel) next() func() {
+	if k.limit > 0 && k.events[0].at > k.limit {
+		k.now = k.limit
+		k.drain()
+		k.halted = true
+		return nil
+	}
+	ev := k.events.pop()
+	k.now = ev.at
+	k.stats.Events++
+	fn := ev.fn
+	k.recycle(ev)
+	return fn
 }
 
 // At schedules fn to run at instant at (clamped to now if in the past).
@@ -375,28 +372,24 @@ func (k *Kernel) After(d Duration, fn func()) *Event {
 //p2p:token
 //p2p:tokenarg
 func (k *Kernel) Schedule(at Time, fn func()) {
-	k.events.push(k.alloc(at, fn))
+	k.push(at, fn)
 }
 
 // scheduleLocked is the common body of At and After.
 //
 //p2p:tokenentry callers hold k.mu, which serializes the cold scheduling boundary
 func (k *Kernel) scheduleLocked(at Time, fn func()) *Event {
-	ev := k.alloc(at, fn)
-	k.events.push(ev)
+	ev := k.push(at, fn)
 	return &Event{k: k, ev: ev, gen: ev.gen}
 }
 
-// alloc takes an event struct off the free list (or allocates one)
-// and initializes it for scheduling. Callers hold the execution token
+// push takes an event struct off the free list (or allocates one) and
+// queues it to run fn at instant at. Callers hold the execution token
 // (or k.mu on the cold At/After paths — both serialize against every
 // other queue access).
 //
 //p2p:token
-func (k *Kernel) alloc(at Time, fn func()) *event {
-	if at < k.now {
-		at = k.now
-	}
+func (k *Kernel) push(at Time, fn func()) *event {
 	ev := k.free
 	if ev != nil {
 		k.free = ev.next
@@ -404,13 +397,27 @@ func (k *Kernel) alloc(at Time, fn func()) *event {
 	} else {
 		ev = &event{}
 	}
-	ev.at, ev.seq, ev.fn, ev.dead = at, k.seq, fn, false
-	k.seq++
+	ev.fn = fn
+	k.stamp(ev, at)
+	k.events.push(ev)
 	return ev
 }
 
+// stamp sets ev's instant (clamped to now if in the past) and gives it
+// the next seq, i.e. the last place in that instant's FIFO order. Same
+// serialization contract as push.
+//
+//p2p:token
+func (k *Kernel) stamp(ev *event, at Time) {
+	if at < k.now {
+		at = k.now
+	}
+	ev.at, ev.seq = at, k.seq
+	k.seq++
+}
+
 // recycle returns a dispatched or cancelled event struct to the free
-// list. Same serialization contract as alloc; ev must no longer be
+// list. Same serialization contract as push; ev must no longer be
 // queued.
 //
 //p2p:token
@@ -421,6 +428,15 @@ func (k *Kernel) recycle(ev *event) {
 	k.free = ev
 }
 
+// cancel removes the pending event ev from the queue and recycles it.
+// Same serialization contract as push.
+//
+//p2p:token
+func (k *Kernel) cancel(ev *event) {
+	k.events.remove(ev)
+	k.recycle(ev)
+}
+
 // Event is a cancellable handle to a scheduled callback.
 type Event struct {
 	k   *Kernel
@@ -428,48 +444,43 @@ type Event struct {
 	gen uint64 // incarnation the handle refers to
 }
 
-// live reports whether the handle still refers to a pending event.
-// Callers hold e.k.mu.
-func (e *Event) liveLocked() bool {
-	return e.ev.gen == e.gen && e.ev.queued && !e.ev.dead
-}
-
-// Cancel prevents the callback from running if it has not fired yet.
-// It reports whether the cancellation took effect.
+// Cancel prevents the callback from running if it has not fired yet,
+// removing it from the queue at once. It reports whether the
+// cancellation took effect.
+//
+//p2p:tokenentry holds e.k.mu for the whole removal, same contract as At
 func (e *Event) Cancel() bool {
 	if e == nil || e.ev == nil {
 		return false
 	}
 	e.k.mu.Lock()
 	defer e.k.mu.Unlock()
-	if !e.liveLocked() {
-		return false
+	if e.ev.gen != e.gen {
+		return false // fired or cancelled: recycled, which bumped gen
 	}
-	e.ev.dead = true
+	e.k.cancel(e.ev)
 	return true
 }
 
 // Reschedule moves a still-pending callback to instant at (clamped to
 // now if in the past), preserving the callback but taking a fresh
 // position in the same-instant FIFO order, exactly as if the event had
-// been cancelled and scheduled anew. It reports whether the move took
-// effect; a fired or cancelled event is not revived.
+// been cancelled and scheduled anew. The event is moved in place. It
+// reports whether the move took effect; a fired or cancelled event is
+// not revived.
 //
-//p2p:tokenentry holds e.k.mu for the whole splice, same contract as At
+//p2p:tokenentry holds e.k.mu for the whole move, same contract as At
 func (e *Event) Reschedule(at Time) bool {
 	if e == nil || e.ev == nil {
 		return false
 	}
 	e.k.mu.Lock()
 	defer e.k.mu.Unlock()
-	if !e.liveLocked() {
-		return false
+	if e.ev.gen != e.gen {
+		return false // fired or cancelled: recycled, which bumped gen
 	}
-	fn := e.ev.fn
-	e.ev.dead = true // lazily removed by the queue
-	ev := e.k.alloc(at, fn)
-	e.k.events.push(ev)
-	e.ev, e.gen = ev, ev.gen
+	e.k.stamp(e.ev, at)
+	e.k.events.fix(e.ev.idx)
 	return true
 }
 
@@ -501,8 +512,9 @@ func (k *Kernel) Run() error {
 			return nil
 		}
 		if k.halted {
-			// A task-side scheduler (sched) crossed the horizon: events
-			// are already drained, only the teardown is left.
+			// The horizon was crossed, here or in a task-side scheduler
+			// (sched): events are already drained, only the teardown is
+			// left.
 			k.halted = false
 			k.killAllLocked()
 			return nil
@@ -521,31 +533,16 @@ func (k *Kernel) Run() error {
 			continue
 		}
 		// 2. Advance the clock to the next event batch.
-		if k.events.len() > 0 {
-			ev := k.events.pop()
-			if ev.dead {
-				k.recycle(ev)
-				continue
+		if len(k.events) > 0 {
+			if fn := k.next(); fn != nil {
+				// Callbacks run without the kernel lock: no simulated
+				// goroutine is executing at this point (ready is empty
+				// and running is false), so callbacks may freely use the
+				// public blocking-free API (Cond.Signal, Kernel.At, ...).
+				k.mu.Unlock()
+				fn()
+				k.mu.Lock()
 			}
-			if k.limit > 0 && ev.at > k.limit {
-				// Past the horizon: drop remaining events and stop.
-				k.now = k.limit
-				k.recycle(ev)
-				k.drain()
-				k.killAllLocked()
-				return nil
-			}
-			k.now = ev.at
-			k.stats.Events++
-			fn := ev.fn
-			k.recycle(ev)
-			// Callbacks run without the kernel lock: no simulated
-			// goroutine is executing at this point (ready is empty and
-			// running is false), so callbacks may freely use the public
-			// blocking-free API (Cond.Signal, Kernel.At, ...).
-			k.mu.Unlock()
-			fn()
-			k.mu.Lock()
 			continue
 		}
 		// 3. Nothing runnable, nothing scheduled.
@@ -621,13 +618,15 @@ func (k *Kernel) RunUntil(limit Time) error {
 }
 
 // drain discards all pending events. Same serialization contract as
-// alloc.
+// push.
 //
 //p2p:token
 func (k *Kernel) drain() {
-	for k.events.len() > 0 {
-		k.recycle(k.events.pop())
+	for _, ev := range k.events {
+		k.recycle(ev)
 	}
+	clear(k.events)
+	k.events = k.events[:0]
 }
 
 // Stop aborts the run loop at the next scheduling point. Safe to call

@@ -73,7 +73,7 @@ func (p *Proc) Sleep(d Duration) {
 	if d > 0 {
 		at = at.Add(d)
 	}
-	k.events.push(k.alloc(at, p.wakeFn))
+	k.push(at, p.wakeFn)
 	p.park()
 }
 

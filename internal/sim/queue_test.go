@@ -1,77 +1,242 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
 
-// popOrderKey compares two events in dispatch order.
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// refQueue is the reference model of the kernel's event queue: the
+// pending events, by id, in a slice kept sorted by (at, seq), under the
+// kernel's clamp-to-now and next-seq rules.
+type refQueue struct {
+	evs []refEvent
+	seq uint64
 }
 
-// TestCalQueueMatchesHeap drives a calendar queue and the reference heap
-// through the same randomized kernel-shaped push/pop schedule (pushes
-// never go below the last popped instant, mirroring the kernel's clamp)
-// and asserts every pop agrees.
+type refEvent struct {
+	id  int
+	at  Time
+	seq uint64
+}
+
+func (r *refQueue) insert(id int, at, now Time) {
+	at = max(at, now)
+	// The new seq is the largest yet: the event goes after every event
+	// at or before its instant.
+	i := sort.Search(len(r.evs), func(i int) bool { return r.evs[i].at > at })
+	r.evs = slices.Insert(r.evs, i, refEvent{id, at, r.seq})
+	r.seq++
+}
+
+// remove drops event id and reports whether it was pending.
+func (r *refQueue) remove(id int) (refEvent, bool) {
+	i := slices.IndexFunc(r.evs, func(e refEvent) bool { return e.id == id })
+	if i < 0 {
+		return refEvent{}, false
+	}
+	e := r.evs[i]
+	r.evs = slices.Delete(r.evs, i, i+1)
+	return e, true
+}
+
+// TestQueueMatchesReference drives kernels with random At, After,
+// Schedule, Cancel and Reschedule calls — same-instant bursts, moves
+// earlier, later, to the same instant and into the past, handles that
+// already fired or were cancelled, and events past the RunUntil horizon
+// — against the sorted-slice reference. Every dispatch must be the
+// reference's earliest event, and after every operation the queue must
+// hold exactly the reference's pending events: no tombstones.
+func TestQueueMatchesReference(t *testing.T) {
+	outcomes := map[[2]bool]int{} // {is Reschedule, returned} -> count
+	for seed := int64(1); seed <= 10; seed++ {
+		driveAgainstReference(t, seed, outcomes)
+	}
+	if len(outcomes) != 4 {
+		t.Errorf("not every Cancel/Reschedule outcome was exercised: %v", outcomes)
+	}
+}
+
+func driveAgainstReference(t *testing.T, seed int64, outcomes map[[2]bool]int) {
+	const horizon, budget = Time(time.Second), 1500
+	rng := rand.New(rand.NewSource(seed))
+	k := New(seed)
+	ref := &refQueue{}
+	var handles []*Event // by event id; nil for Schedule'd events
+	failed := false
+	fail := func(format string, args ...any) {
+		if !failed {
+			failed = true
+			t.Errorf("seed %d: "+format, append([]any{seed}, args...)...)
+			k.Stop()
+		}
+	}
+	check := func(op string) {
+		q := slices.Clone(k.events)
+		slices.SortFunc(q, func(a, b *event) int {
+			if a.before(b) {
+				return -1
+			}
+			return 1
+		})
+		if len(q) != len(ref.evs) {
+			fail("after %s: queue holds %d events, reference %d", op, len(q), len(ref.evs))
+			return
+		}
+		for i, ev := range q {
+			if r := ref.evs[i]; ev.at != r.at || ev.seq != r.seq {
+				fail("after %s: pending #%d is (%v, %d), reference (%v, %d)", op, i, ev.at, ev.seq, r.at, r.seq)
+				return
+			}
+		}
+	}
+	pick := func() Time {
+		switch rng.Intn(8) {
+		case 0:
+			return k.now
+		case 1:
+			return k.now - Time(rng.Intn(int(time.Millisecond))) // clamped
+		case 2:
+			return horizon + Time(rng.Int63n(int64(time.Hour)))
+		}
+		return k.now + Time(rng.Intn(int(20*time.Millisecond)))
+	}
+
+	ops := 0
+	var fire func(id int) func()
+	schedule := func(at Time) {
+		id := len(handles)
+		ref.insert(id, at, k.now)
+		switch rng.Intn(3) {
+		case 0:
+			handles = append(handles, k.At(at, fire(id)))
+		case 1:
+			handles = append(handles, k.After(at.Sub(k.now), fire(id)))
+		default:
+			k.Schedule(at, fire(id))
+			handles = append(handles, nil)
+		}
+		check("schedule")
+	}
+	step := func() {
+		ops++
+		switch op := rng.Intn(10); {
+		case op < 4 || len(handles) == 0:
+			schedule(pick())
+		case op == 4: // same-instant burst
+			at := pick()
+			for n := 2 + rng.Intn(10); n > 0; n-- {
+				schedule(at)
+			}
+		default:
+			id := rng.Intn(len(handles))
+			h := handles[id]
+			if h == nil {
+				return
+			}
+			old, want := ref.remove(id)
+			var got bool
+			if op < 7 {
+				got = h.Cancel()
+			} else {
+				at := pick()
+				if want && rng.Intn(4) == 0 {
+					at = old.at // same instant: to the back of its FIFO
+				}
+				if got = h.Reschedule(at); want {
+					ref.insert(id, at, k.now)
+				}
+			}
+			outcomes[[2]bool{op >= 7, got}]++
+			if got != want {
+				fail("op %d on event %d returned %v, want %v", op, id, got, want)
+			}
+			check("cancel/reschedule")
+		}
+	}
+	fire = func(id int) func() {
+		return func() {
+			if len(ref.evs) == 0 || ref.evs[0].id != id || ref.evs[0].at != k.now {
+				fail("dispatched event %d at %v out of reference order", id, k.now)
+				return
+			}
+			ref.evs = ref.evs[1:]
+			check("dispatch")
+			for n := rng.Intn(4); n > 0 && ops < budget; n-- {
+				step()
+			}
+		}
+	}
+
+	for i := 0; i < 50; i++ {
+		step()
+	}
+	if err := k.RunUntil(horizon); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	for _, e := range ref.evs {
+		if e.at <= horizon {
+			fail("event %d at %v never fired", e.id, e.at)
+		}
+	}
+	if len(k.events) != 0 {
+		fail("%d events left in the queue after the horizon", len(k.events))
+	}
+}
+
+// TestCalQueueMatchesHeap drives the event queue through a randomized
+// kernel-shaped push/pop schedule (pushes never go below the last
+// popped instant, mirroring the kernel's clamp) and checks every pop
+// against the sorted-slice reference. Unlike TestQueueMatchesReference
+// it exercises the heap directly, with no kernel around it, and at a
+// larger scale.
 func TestCalQueueMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	cal := newCalQueue()
-	ref := &heapQueue{}
-	var seq uint64
+	var q eventQueue
+	ref := &refQueue{}
 	now := Time(0)
-
-	mk := func(at Time) (*event, *event) {
-		a := &event{at: at, seq: seq}
-		b := &event{at: at, seq: seq}
-		seq++
-		return a, b
+	popCheck := func(where string, step int) {
+		ev := q.pop()
+		r := ref.evs[0]
+		ref.evs = ref.evs[1:]
+		if ev.at != r.at || ev.seq != r.seq {
+			t.Fatalf("%s %d: queue popped (at=%v seq=%d), reference (at=%v seq=%d)",
+				where, step, ev.at, ev.seq, r.at, r.seq)
+		}
+		now = ev.at
 	}
 	for step := 0; step < 200000; step++ {
-		if cal.len() == 0 || rng.Intn(3) != 0 {
+		if len(q) == 0 || rng.Intn(3) != 0 {
 			var at Time
 			switch rng.Intn(10) {
 			case 0: // same instant: FIFO tie-break territory
 				at = now
-			case 1: // far future: exercises the sparse direct-search path
+			case 1: // far future: large gaps between pending events
 				at = now + Time(time.Hour)*Time(1+rng.Intn(100))
 			default: // clustered near now, the common case
 				at = now + Time(rng.Intn(int(50*time.Microsecond)))
 			}
-			a, b := mk(at)
-			cal.push(a)
-			ref.push(b)
+			q.push(&event{at: at, seq: ref.seq})
+			ref.insert(0, at, now)
 		} else {
-			a := cal.pop()
-			b := ref.pop()
-			if a.at != b.at || a.seq != b.seq {
-				t.Fatalf("step %d: calendar popped (at=%v seq=%d), heap popped (at=%v seq=%d)",
-					step, a.at, a.seq, b.at, b.seq)
-			}
-			now = a.at
+			popCheck("step", step)
 		}
 	}
-	for cal.len() > 0 {
-		a := cal.pop()
-		b := ref.pop()
-		if a.at != b.at || a.seq != b.seq {
-			t.Fatalf("drain: calendar popped (at=%v seq=%d), heap popped (at=%v seq=%d)",
-				a.at, a.seq, b.at, b.seq)
-		}
+	for i := 0; len(q) > 0; i++ {
+		popCheck("drain", i)
 	}
-	if ref.len() != 0 {
-		t.Fatalf("heap retains %d events after calendar drained", ref.len())
+	if len(ref.evs) != 0 {
+		t.Fatalf("reference retains %d events after the queue drained", len(ref.evs))
 	}
 }
 
 // TestCalQueueSameInstantFIFO checks that a burst at one instant comes
 // back in schedule order.
 func TestCalQueueSameInstantFIFO(t *testing.T) {
-	q := newCalQueue()
+	var q eventQueue
 	for i := 0; i < 1000; i++ {
 		q.push(&event{at: 12345, seq: uint64(i)})
 	}
@@ -83,35 +248,10 @@ func TestCalQueueSameInstantFIFO(t *testing.T) {
 	}
 }
 
-// TestCalQueueResize pushes enough events to force growth, drains to
-// force shrink, and checks global ordering throughout.
-func TestCalQueueResize(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	q := newCalQueue()
-	const n = 50000
-	for i := 0; i < n; i++ {
-		q.push(&event{at: Time(rng.Intn(int(time.Second))), seq: uint64(i)})
-	}
-	if len(q.buckets) <= calMinBuckets {
-		t.Fatalf("expected bucket growth, still %d buckets for %d events", len(q.buckets), n)
-	}
-	var prev *event
-	for q.len() > 0 {
-		ev := q.pop()
-		if prev != nil && !eventLess(prev, ev) {
-			t.Fatalf("out of order: (at=%v seq=%d) after (at=%v seq=%d)", ev.at, ev.seq, prev.at, prev.seq)
-		}
-		prev = ev
-	}
-	if len(q.buckets) != calMinBuckets {
-		t.Fatalf("expected shrink back to %d buckets, have %d", calMinBuckets, len(q.buckets))
-	}
-}
-
-// TestCalQueueSparseFarFuture exercises the direct-search path: a
-// handful of events separated by enormous gaps.
+// TestCalQueueSparseFarFuture checks ordering across a handful of
+// events separated by enormous gaps.
 func TestCalQueueSparseFarFuture(t *testing.T) {
-	q := newCalQueue()
+	var q eventQueue
 	ats := []Time{
 		Time(365 * 24 * time.Hour),
 		Time(time.Nanosecond),
@@ -128,33 +268,40 @@ func TestCalQueueSparseFarFuture(t *testing.T) {
 			t.Fatalf("pop %d: got at=%v, want %v", i, ev.at, w)
 		}
 	}
-	if q.pop() != nil {
-		t.Fatal("pop on empty queue should return nil")
+	if len(q) != 0 {
+		t.Fatalf("queue holds %d events after every push was popped", len(q))
 	}
 }
 
-// TestEventHandleStaleAfterRecycle checks that a handle to a fired
-// event cannot cancel the recycled struct's next incarnation.
+// TestEventHandleStaleAfterRecycle checks that a handle acts only on
+// the pending event it was issued for: a second Cancel fails, and a
+// handle to a fired or cancelled event can neither cancel nor move the
+// recycled struct's next occupant (the free list is LIFO, so the next
+// schedule reuses the struct).
 func TestEventHandleStaleAfterRecycle(t *testing.T) {
 	k := New(1)
 	fired := make(map[string]bool)
 	h1 := k.After(time.Millisecond, func() { fired["first"] = true })
 	k.After(2*time.Millisecond, func() {
-		// "first" already fired and its struct was recycled (the free
-		// list is LIFO, so the next schedule reuses it).
-		if h1.Cancel() {
-			t.Error("Cancel on a fired event's stale handle reported success")
+		stale := k.After(time.Hour, func() { fired["cancelled"] = true })
+		if !stale.Cancel() || stale.Cancel() {
+			t.Error("want the first Cancel to succeed and the second to fail")
 		}
-		if h1.Reschedule(k.Now().Add(time.Hour)) {
-			t.Error("Reschedule on a fired event's stale handle reported success")
+		next := k.After(time.Millisecond, func() { fired["second"] = true })
+		if next.ev != stale.ev {
+			t.Error("free list did not reuse the cancelled struct")
 		}
-		k.After(time.Millisecond, func() { fired["second"] = true })
+		for _, h := range []*Event{h1, stale} {
+			if h.Cancel() || h.Reschedule(k.Now().Add(time.Hour)) {
+				t.Error("a stale handle cancelled or moved an event")
+			}
+		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !fired["first"] || !fired["second"] {
-		t.Fatalf("fired = %v, want both", fired)
+	if !fired["first"] || !fired["second"] || fired["cancelled"] || k.Now() != Time(3*time.Millisecond) {
+		t.Fatalf("fired = %v, ended at %v; want first and second only, at 3ms", fired, k.Now())
 	}
 }
 
@@ -168,6 +315,7 @@ func TestEventReschedule(t *testing.T) {
 		return func() { order = append(order, name) }
 	}
 	ev := k.At(Time(10*time.Millisecond), at("moved"))
+	toNow := k.At(Time(time.Hour), at("to-now"))
 	k.At(Time(5*time.Millisecond), at("five"))
 	k.At(Time(20*time.Millisecond), at("twenty"))
 	k.At(0, func() {
@@ -177,17 +325,19 @@ func TestEventReschedule(t *testing.T) {
 			t.Error("Reschedule of pending event failed")
 		}
 	})
+	k.At(Time(5*time.Millisecond), func() {
+		// Moved to the current instant, it runs after the events
+		// already queued at that instant.
+		if !toNow.Reschedule(k.Now()) {
+			t.Error("Reschedule to now failed")
+		}
+	})
+	k.At(Time(5*time.Millisecond), at("five-b"))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"five", "twenty", "moved"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if got, want := fmt.Sprint(order), "[five five-b to-now twenty moved]"; got != want {
+		t.Fatalf("order = %v, want %v", got, want)
 	}
 	// A fired event cannot be revived.
 	if ev.Reschedule(Time(time.Hour)) {
@@ -195,8 +345,9 @@ func TestEventReschedule(t *testing.T) {
 	}
 }
 
-// TestCancelledEventRecycled checks cancelled events are lazily removed
-// and their structs reused without disturbing later events.
+// TestCancelledEventRecycled checks cancelled events leave the queue
+// at once and their structs are reused without disturbing later
+// events.
 func TestCancelledEventRecycled(t *testing.T) {
 	k := New(1)
 	n := 0
@@ -208,6 +359,9 @@ func TestCancelledEventRecycled(t *testing.T) {
 		if i%2 == 0 && !ev.Cancel() {
 			t.Fatalf("cancel %d failed", i)
 		}
+	}
+	if len(k.events) != 50 {
+		t.Fatalf("%d events queued after cancelling half of 100", len(k.events))
 	}
 	for i := 0; i < 50; i++ {
 		k.After(time.Duration(i+1)*time.Microsecond, func() { n++ })

@@ -84,6 +84,10 @@ func TestCondSignalBeatsTimeout(t *testing.T) {
 	k.Go("s", func(p *Proc) {
 		p.Sleep(time.Second)
 		c.Signal()
+		// The signalled waiter's timer leaves the queue at once.
+		if n := len(k.events); n != 0 {
+			t.Errorf("%d events queued after the signal, want 0", n)
+		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -4,8 +4,9 @@
 #   scripts/bench_baseline.sh               # rewrite BENCH_baseline.json
 #   scripts/bench_baseline.sh check         # run now and diff against it
 #
-# The recorded set covers the kernel hot path (event dispatch under the
-# two queue implementations), the figure-level scheduler workload, the
+# The recorded set covers the kernel hot path (event dispatch at queue
+# depth, and in-place Reschedule of pending handles — the flow solver's
+# re-rate pattern), the figure-level scheduler workload, the
 # flow-solver churn path (incremental component re-solve), the
 # firewall classifier (linear scan vs hash index over a 50k-rule
 # table), the obs-registry update paid on instrumented transmit
@@ -67,6 +68,7 @@ gate_all() {
   gate_zero_alloc "$raw" BenchmarkObsHot 'obs hot-path update'
   gate_zero_alloc "$raw" BenchmarkSwarmScaleHot 'bt swarm hot path'
   gate_present "$raw" BenchmarkSnapshotSync 'snapshot-sync family'
+  gate_present "$raw" BenchmarkKernelQueues 'kernel event-queue family'
 }
 
 case "${1:-record}" in
