@@ -19,6 +19,7 @@ import (
 	"repro/internal/ip"
 	"repro/internal/netem"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -270,15 +271,20 @@ func BenchmarkDHTScaling(b *testing.B) {
 
 // BenchmarkChurnSwarm runs the churn experiment (extension E3).
 func BenchmarkChurnSwarm(b *testing.B) {
+	cells, err := exp.Grid{Experiment: exp.ExpChurn, Peers: []int{12}, FileSize: 1 << 20}.Cells()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp, err := cells[0].Spec()
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		cp := exp.DefaultChurnSwarmParams()
-		cp.Clients = 12
-		cp.FileSize = 1 << 20
-		out, err := exp.RunChurnSwarm(cp)
+		res, err := scenario.Run(sp, scenario.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if out.StableDone == 0 {
+		if res.Done-res.ChurnDone == 0 {
 			b.Fatal("no completions")
 		}
 	}
@@ -680,42 +686,47 @@ func BenchmarkSwarmScale(b *testing.B) {
 // reported virtual-s/s tracks the cost of the rate-limiter pumps and
 // the web-seed request path on top of the swarm machinery.
 func BenchmarkSnapshotSync(b *testing.B) {
-	base := exp.SnapshotSyncParams{
-		Clients:       4,
-		Seeders:       1,
-		WebSeeds:      1,
-		FileSize:      32 << 20,
-		PieceLength:   2 << 20,
-		ConnCap:       5,
-		StartInterval: time.Second,
-		Class:         topo.FastDSL,
-		Model:         netem.ModelFlow,
-		Window:        250 * time.Millisecond,
-		Seed:          1,
-		Horizon:       time.Hour,
+	base := scenario.Spec{
+		Name:       "snapshot-sync",
+		Model:      "flow",
+		Seed:       1,
+		Horizon:    scenario.Duration(time.Hour),
+		FlowWindow: scenario.Duration(250 * time.Millisecond),
+		Groups:     []scenario.GroupSpec{{Name: "peers", Class: topo.FastDSL.Name, Nodes: 5, Prefix: "10.0.0.0/16"}},
+		Workload: scenario.WorkloadSpec{
+			Kind:          scenario.WorkloadSnapshot,
+			FileSize:      32 << 20,
+			Seeders:       1,
+			WebSeeds:      1,
+			StartInterval: scenario.Duration(time.Second),
+			PieceLength:   2 << 20,
+			ConnCap:       5,
+		},
 	}
 	variants := []struct {
 		name string
-		mut  func(*exp.SnapshotSyncParams)
+		mut  func(*scenario.Spec)
 	}{
-		{"uncapped", func(*exp.SnapshotSyncParams) {}},
-		{"capped", func(p *exp.SnapshotSyncParams) { p.UpRate, p.DownRate = 256<<10, 256<<10 }},
-		{"coldfill", func(p *exp.SnapshotSyncParams) { p.Seeders = 0 }},
+		{"uncapped", func(*scenario.Spec) {}},
+		{"capped", func(sp *scenario.Spec) { sp.Workload.UpRate, sp.Workload.DownRate = 256<<10, 256<<10 }},
+		// No seeder: the web seed alone fills the four clients.
+		{"coldfill", func(sp *scenario.Spec) { sp.Workload.Seeders = 0; sp.Groups[0].Nodes = 4 }},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			params := base
-			v.mut(&params)
+			sp := base
+			sp.Groups = append([]scenario.GroupSpec(nil), base.Groups...)
+			v.mut(&sp)
 			var virtual time.Duration
 			for i := 0; i < b.N; i++ {
-				out, err := exp.RunSnapshotSync(params)
+				res, err := scenario.Run(&sp, scenario.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !out.AllDone {
+				if res.Done != res.Total {
 					b.Fatal("snapshot sync incomplete")
 				}
-				virtual += time.Duration(out.EndedAt)
+				virtual += time.Duration(res.EndedAt)
 			}
 			b.ReportMetric(virtual.Seconds()/b.Elapsed().Seconds(), "virtual-s/s")
 		})

@@ -31,6 +31,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/netem"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -366,23 +367,32 @@ func run(id, out string, scale int, seed int64, model netem.ModelKind, rules int
 		}
 		return writeDat(out, "dht.dat", exp.DHTScalingSeries(points))
 	case "churn":
-		cp := exp.DefaultChurnSwarmParams()
-		cp.Seed = seed
-		cp.Model = model
-		cp.Rules = rules
-		cp.Classifier = classifier
-		outcome, err := exp.RunChurnSwarm(cp)
+		// Extension E3 is one churn sweep cell: 24 DSL clients (half of
+		// them churning) and 2 seeders sharing a 4 MiB file.
+		g := exp.Grid{Experiment: exp.ExpChurn, Peers: []int{24}, Models: []netem.ModelKind{model},
+			Seeds: []int64{seed}, FileSize: 4 << 20}
+		if rules > 0 {
+			g.Rules, g.Classifiers = []int{rules}, []netem.Classifier{classifier}
+		}
+		cells, err := g.Cells()
 		if err != nil {
 			return err
 		}
+		sp, err := cells[0].Spec()
+		if err != nil {
+			return err
+		}
+		res, err := scenario.Run(sp, scenario.Options{})
+		if err != nil {
+			return err
+		}
+		stableDone, stableTotal := res.Done-res.ChurnDone, res.Total-res.Churners
 		fmt.Printf("   stable clients: %d/%d done; churners: %d/%d done; %d arrivals, %d departures\n",
-			outcome.StableDone, outcome.StableTotal, outcome.ChurnDone, outcome.ChurnTotal,
-			outcome.Arrivals, outcome.Departures)
+			stableDone, stableTotal, res.ChurnDone, res.Churners, res.Arrivals, res.Departures)
 		cid, _ := figVariant("churn", rules, classifier)
 		return os.WriteFile(filepath.Join(out, cid+".txt"),
 			[]byte(fmt.Sprintf("stable %d/%d\nchurners %d/%d\narrivals %d\ndepartures %d\n",
-				outcome.StableDone, outcome.StableTotal, outcome.ChurnDone, outcome.ChurnTotal,
-				outcome.Arrivals, outcome.Departures)), 0o644)
+				stableDone, stableTotal, res.ChurnDone, res.Churners, res.Arrivals, res.Departures)), 0o644)
 	case "gossip":
 		points, err := exp.GossipFanoutSweep(64, nil, seed)
 		if err != nil {

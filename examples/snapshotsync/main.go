@@ -19,8 +19,8 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/exp"
 	"repro/internal/netem"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -45,33 +45,48 @@ func main() {
 		fmt.Fprintln(os.Stderr, "snapshotsync:", err)
 		os.Exit(1)
 	}
-	params := exp.SnapshotSyncParams{
-		Clients:       *clients,
-		Seeders:       *seeders,
-		WebSeeds:      *webseeds,
-		FileSize:      *fileMB << 20,
-		PieceLength:   *pieceMB << 20,
-		ConnCap:       *connCap,
-		UpRate:        *up,
-		DownRate:      *down,
-		StartInterval: time.Second,
-		Class:         topo.FastDSL,
-		Model:         m,
-		Window:        *window,
-		Seed:          *seed,
-		Horizon:       *horizon,
+	// A spec defaults a zero seeder count to 1 and a zero seed to 1;
+	// reject both rather than run another experiment than asked for.
+	if *seeders < 1 && *webseeds < 1 {
+		fmt.Fprintln(os.Stderr, "snapshotsync: needs a seeder or a web seed")
+		os.Exit(1)
 	}
+	if *seed == 0 {
+		fmt.Fprintln(os.Stderr, "snapshotsync: needs a nonzero seed")
+		os.Exit(1)
+	}
+	win := *window
 	if m != netem.ModelFlow {
-		params.Window = 0
+		win = 0
+	}
+	sp := &scenario.Spec{
+		Name:       "snapshotsync",
+		Model:      m.String(),
+		Seed:       *seed,
+		Horizon:    scenario.Duration(*horizon),
+		FlowWindow: scenario.Duration(win),
+		Groups: []scenario.GroupSpec{{Name: "peers", Class: topo.FastDSL.Name,
+			Nodes: *seeders + *clients, Prefix: "10.0.0.0/16"}},
+		Workload: scenario.WorkloadSpec{
+			Kind:          scenario.WorkloadSnapshot,
+			FileSize:      *fileMB << 20,
+			Seeders:       *seeders,
+			WebSeeds:      *webseeds,
+			StartInterval: scenario.Duration(time.Second),
+			PieceLength:   *pieceMB << 20,
+			ConnCap:       *connCap,
+			UpRate:        *up,
+			DownRate:      *down,
+		},
 	}
 
 	fmt.Printf("snapshotsync: %d clients, %d seeders, %d web seeds; %d MiB in %d MiB pieces, %d conns/client\n",
-		params.Clients, params.Seeders, params.WebSeeds, *fileMB, *pieceMB, params.ConnCap)
-	if params.UpRate > 0 || params.DownRate > 0 {
-		fmt.Printf("rate caps: up %d B/s, down %d B/s\n", params.UpRate, params.DownRate)
+		*clients, *seeders, *webseeds, *fileMB, *pieceMB, *connCap)
+	if *up > 0 || *down > 0 {
+		fmt.Printf("rate caps: up %d B/s, down %d B/s\n", *up, *down)
 	}
 	start := time.Now()
-	out, err := exp.RunSnapshotSync(params)
+	out, err := scenario.Run(sp, scenario.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "snapshotsync:", err)
 		os.Exit(1)
@@ -91,15 +106,16 @@ func main() {
 			fmt.Printf("client %d DID NOT FINISH inside the horizon\n", i)
 		}
 	}
-	total := uint64(params.FileSize) * uint64(done)
+	wsBytes := out.Snapshot.Counters["webseed-bytes"]
+	total := uint64(*fileMB<<20) * uint64(done)
 	share := 0.0
 	if total > 0 {
-		share = 100 * float64(out.WebSeedBytes) / float64(total)
+		share = 100 * float64(wsBytes) / float64(total)
 	}
 	fmt.Printf("wall time        %v\n", wall.Round(time.Millisecond))
 	fmt.Printf("virtual time     %v (last completion %v)\n", time.Duration(out.EndedAt), time.Duration(last))
-	fmt.Printf("completed        %d/%d clients\n", done, params.Clients)
-	fmt.Printf("web seed bytes   %d (%.1f%% of delivered payload)\n", out.WebSeedBytes, share)
+	fmt.Printf("completed        %d/%d clients\n", done, *clients)
+	fmt.Printf("web seed bytes   %d (%.1f%% of delivered payload)\n", wsBytes, share)
 	fmt.Printf("kernel events    %d dispatched, %d task spawns\n", out.Kernel.Events, out.Kernel.Spawns)
 	fmt.Printf("net messages     %d delivered, %d dropped, %d retransmits\n",
 		out.Net.MessagesDelivered, out.Net.MessagesDropped, out.Net.Retransmits)

@@ -1,16 +1,11 @@
 package exp
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/chord"
-	"repro/internal/ip"
 	"repro/internal/metrics"
 	"repro/internal/netem"
-	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/vnet"
 )
 
 // The DHT experiments are extensions beyond the paper's evaluation:
@@ -29,69 +24,22 @@ type DHTPoint struct {
 	Timeouts   uint64
 }
 
-// DHTRing builds an n-node ring on the given link class, warms it up,
-// performs lookups and reports the aggregate. It is the cell runner
-// behind DHTScaling, DHTLocality and the sweep engine's dht adapter.
+// DHTRing builds an n-node ring on the given predefined link class,
+// warms it up, performs lookups and reports the aggregate. It runs the
+// same scenario spec as a dht sweep cell, and is the runner behind
+// DHTScaling and DHTLocality.
 func DHTRing(n, lookups int, class topo.LinkClass, seed int64) (DHTPoint, error) {
-	return DHTRingModel(n, lookups, class, netem.ModelPipe, seed)
-}
-
-// DHTRingModel is DHTRing under an explicit link model — the sweep
-// engine's model axis.
-func DHTRingModel(n, lookups int, class topo.LinkClass, model netem.ModelKind, seed int64) (DHTPoint, error) {
-	k := sim.New(seed)
-	ncfg := vnet.DefaultConfig()
-	ncfg.Model = model
-	net := vnet.NewNetwork(k, nil, ncfg)
-	var nodes []*chord.Node
-	base := ip.MustParseAddr("10.0.0.1")
-	for i := 0; i < n; i++ {
-		h, err := net.AddHostClass(base.Add(uint32(i)), class)
-		if err != nil {
-			return DHTPoint{}, err
-		}
-		nodes = append(nodes, chord.NewNode(h, chord.DefaultConfig()))
+	res, err := runSpec(Cell{Experiment: ExpDHT, Peers: n, Class: class, Model: netem.ModelPipe, Seed: seed, lookups: lookups})
+	if err != nil {
+		return DHTPoint{}, err
 	}
-	nodes[0].Create()
-	for i := 1; i < n; i++ {
-		i := i
-		k.After(time.Duration(i)*500*time.Millisecond, func() { nodes[i].Join(nodes[0].Ref().Addr) })
-	}
-	warm := time.Duration(n)*500*time.Millisecond + 60*time.Second
-
-	pt := DHTPoint{Nodes: n}
-	var latencies []float64
-	k.Go("measure", func(p *sim.Proc) {
-		p.Sleep(warm)
-		totalHops := 0
-		var totalLat time.Duration
-		done := 0
-		for i := 0; i < lookups; i++ {
-			res, err := nodes[i%n].Lookup(p, fmt.Sprintf("key-%d", i))
-			if err != nil {
-				continue
-			}
-			done++
-			totalHops += res.Hops
-			totalLat += res.Latency
-			latencies = append(latencies, res.Latency.Seconds()*1000)
-		}
-		if done > 0 {
-			pt.AvgHops = float64(totalHops) / float64(done)
-			pt.AvgLatency = totalLat / time.Duration(done)
-		}
-		for _, nd := range nodes {
-			pt.Timeouts += nd.Stats.Timeouts
-		}
-		k.Stop()
-	})
-	if err := k.Run(); err != nil {
-		return pt, err
-	}
-	if len(latencies) > 0 {
-		pt.P90Latency = time.Duration(metrics.Summarize(latencies).P90 * float64(time.Millisecond))
-	}
-	return pt, nil
+	return DHTPoint{
+		Nodes:      n,
+		AvgHops:    res.AvgHops,
+		AvgLatency: res.AvgLatency,
+		P90Latency: res.P90Latency,
+		Timeouts:   res.Snapshot.Counters["timeouts"],
+	}, nil
 }
 
 // DHTScaling measures average lookup hops against ring size (extension
@@ -104,10 +52,9 @@ func DHTScaling(sizes []int, lookups int, seed int64) ([]DHTPoint, error) {
 	if lookups <= 0 {
 		lookups = 200
 	}
-	lan := topo.LinkClass{Name: "lan", Down: netem.Gbps, Up: netem.Gbps, Latency: time.Millisecond}
 	var out []DHTPoint
 	for _, n := range sizes {
-		pt, err := DHTRing(n, lookups, lan, seed)
+		pt, err := DHTRing(n, lookups, topo.LAN, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -130,12 +77,7 @@ func DHTScalingSeries(points []DHTPoint) *metrics.Series {
 // the overlay, dominates DHT latency — the paper's core modelling
 // argument applied to a structured overlay.
 func DHTLocality(seed int64) (map[string]DHTPoint, error) {
-	classes := []topo.LinkClass{
-		{Name: "lan", Down: netem.Gbps, Up: netem.Gbps, Latency: time.Millisecond},
-		topo.Campus,
-		topo.DSL,
-		topo.Modem,
-	}
+	classes := []topo.LinkClass{topo.LAN, topo.Campus, topo.DSL, topo.Modem}
 	out := make(map[string]DHTPoint, len(classes))
 	for _, class := range classes {
 		pt, err := DHTRing(32, 200, class, seed)

@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/gossip"
-	"repro/internal/ip"
 	"repro/internal/metrics"
 	"repro/internal/netem"
-	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/vnet"
 )
 
 // GossipPoint is one measurement of extension experiment E6: epidemic
@@ -25,76 +21,22 @@ type GossipPoint struct {
 }
 
 // GossipSpread runs one dissemination experiment: n nodes on the given
-// class, one update published at t=1s, measured until full coverage or
-// the horizon.
+// predefined class, one update published at t=1s, measured until full
+// coverage or five minutes later. It runs the same scenario spec as a
+// gossip sweep cell.
 func GossipSpread(n, fanout int, class topo.LinkClass, seed int64) (GossipPoint, error) {
-	return GossipSpreadModel(n, fanout, class, netem.ModelPipe, seed)
-}
-
-// GossipSpreadModel is GossipSpread under an explicit link model — the
-// sweep engine's model axis.
-func GossipSpreadModel(n, fanout int, class topo.LinkClass, model netem.ModelKind, seed int64) (GossipPoint, error) {
-	k := sim.New(seed)
-	ncfg := vnet.DefaultConfig()
-	ncfg.Model = model
-	net := vnet.NewNetwork(k, nil, ncfg)
-	cfg := gossip.DefaultConfig()
-	cfg.Fanout = fanout
-	var nodes []*gossip.Node
-	var eps []ip.Endpoint
-	base := ip.MustParseAddr("10.0.0.1")
-	for i := 0; i < n; i++ {
-		h, err := net.AddHostClass(base.Add(uint32(i)), class)
-		if err != nil {
-			return GossipPoint{}, err
-		}
-		nodes = append(nodes, gossip.NewNode(h, cfg))
-		eps = append(eps, ip.Endpoint{Addr: h.Addr(), Port: gossip.Port})
+	res, err := runSpec(Cell{Experiment: ExpGossip, Peers: n, Class: class, Model: netem.ModelPipe, Seed: seed, fanout: fanout})
+	if err != nil {
+		return GossipPoint{}, err
 	}
-	for _, nd := range nodes {
-		nd.SetPeers(eps)
-		nd.Start()
-	}
-
-	pt := GossipPoint{Nodes: n, Fanout: fanout}
-	const updateID = 1
-	k.Go("driver", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		start := p.Now()
-		nodes[0].Publish(p, gossip.Update{ID: updateID})
-		deadline := start.Add(5 * time.Minute)
-		half := false
-		for p.Now() < deadline {
-			p.Sleep(250 * time.Millisecond)
-			covered := 0
-			for _, nd := range nodes {
-				if nd.Knows(updateID) {
-					covered++
-				}
-			}
-			if !half && covered*2 >= n {
-				pt.T50 = time.Duration(p.Now().Sub(start))
-				half = true
-			}
-			if covered == n {
-				pt.T100 = time.Duration(p.Now().Sub(start))
-				break
-			}
-		}
-		covered := 0
-		for _, nd := range nodes {
-			if nd.Knows(updateID) {
-				covered++
-			}
-			pt.Pushes += nd.Stats.Pushes
-		}
-		pt.Coverage = float64(covered) / float64(n)
-		k.Stop()
-	})
-	if err := k.Run(); err != nil {
-		return pt, err
-	}
-	return pt, nil
+	return GossipPoint{
+		Nodes:    n,
+		Fanout:   fanout,
+		Coverage: res.Coverage,
+		T50:      res.T50,
+		T100:     res.T100,
+		Pushes:   res.Snapshot.Counters["pushes"],
+	}, nil
 }
 
 // GossipFanoutSweep measures dissemination time against fanout for a
@@ -103,10 +45,9 @@ func GossipFanoutSweep(n int, fanouts []int, seed int64) ([]GossipPoint, error) 
 	if fanouts == nil {
 		fanouts = []int{1, 2, 3, 5, 8}
 	}
-	lan := topo.LinkClass{Name: "lan", Down: netem.Gbps, Up: netem.Gbps, Latency: time.Millisecond}
 	var out []GossipPoint
 	for _, f := range fanouts {
-		pt, err := GossipSpread(n, f, lan, seed)
+		pt, err := GossipSpread(n, f, topo.LAN, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -73,17 +73,17 @@ func TestSweepModelAxisCells(t *testing.T) {
 	}
 }
 
-// TestDHTGossipModelVariants: the model-aware runners accept the flow
-// model and still measure sane aggregates.
+// TestDHTGossipModelVariants: the dht and gossip specs accept the
+// flow model and still measure sane aggregates.
 func TestDHTGossipModelVariants(t *testing.T) {
-	pt, err := DHTRingModel(8, 20, topo.LAN, netem.ModelFlow, 1)
+	pt, err := runSpec(Cell{Experiment: ExpDHT, Peers: 8, Class: topo.LAN, Model: netem.ModelFlow, Seed: 1, lookups: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pt.AvgHops <= 0 {
 		t.Errorf("no hops measured under flow model: %+v", pt)
 	}
-	gp, err := GossipSpreadModel(16, 3, topo.LAN, netem.ModelFlow, 1)
+	gp, err := runSpec(Cell{Experiment: ExpGossip, Peers: 16, Class: topo.LAN, Model: netem.ModelFlow, Seed: 1, fanout: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

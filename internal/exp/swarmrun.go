@@ -1,11 +1,15 @@
 // Package exp contains one driver per table and figure of the paper's
-// evaluation. Each driver builds the experiment from the substrate
-// packages, runs it on a fresh kernel and returns typed series ready
-// for rendering (metrics.WriteDat) and for assertions in tests and
-// benchmarks.
+// evaluation, plus the sweep engine. Each driver runs its experiment on
+// a fresh kernel and returns typed series ready for rendering
+// (metrics.WriteDat) and for assertions in tests and benchmarks.
 //
-// The index figure → driver lives in DESIGN.md; paper-vs-measured
-// numbers live in EXPERIMENTS.md.
+// The peer-population experiments (swarm with or without churn,
+// snapshot-sync, DHT, gossip) run as one-group scenario specs built by
+// Cell.Spec, so sweeps, figures and the scenario corpus share one
+// experiment builder. RunSwarm (Figs 8–11, with virt folding), RunPing
+// (Fig 6) and the scheduler figures build their own.
+//
+// The figure → driver index lives in DESIGN.md.
 package exp
 
 import (
@@ -51,15 +55,6 @@ type SwarmParams struct {
 	Seed       int64
 	// Horizon caps the experiment's virtual time.
 	Horizon time.Duration
-}
-
-// fillerRules builds a firewall table padded with n filler rules under
-// the given classifier, or nil for n == 0 (no firewall at all).
-func fillerRules(n int, classifier netem.Classifier) *netem.RuleSet {
-	if n <= 0 {
-		return nil
-	}
-	return netem.NewFillerTable(n, classifier)
 }
 
 // Fig8Params returns the paper's first BitTorrent experiment: "the
@@ -163,7 +158,9 @@ func RunSwarm(sp SwarmParams) (*SwarmOutcome, error) {
 	ncfg := vnet.DefaultConfig()
 	ncfg.Model = sp.Model
 	ncfg.FlowWindow = sp.Window
-	ncfg.Rules = fillerRules(sp.Rules, sp.Classifier)
+	if sp.Rules > 0 {
+		ncfg.Rules = netem.NewFillerTable(sp.Rules, sp.Classifier)
+	}
 	net := vnet.NewNetwork(k, fabric, ncfg)
 
 	trackerHost, err := net.AddHostClass(ip.MustParseAddr("10.250.0.1"), topo.LAN)

@@ -61,6 +61,10 @@ const (
 // Experiments lists the sweepable experiment families.
 var Experiments = []Experiment{ExpSwarm, ExpChurn, ExpDHT, ExpGossip, ExpSched, ExpScenario, ExpPing, ExpSnapshotSync}
 
+// maxGridCells caps a grid's cross product: Cells rejects a grid whose
+// axis lengths multiply past it, before expanding anything.
+const maxGridCells = 100000
+
 // Grid is a parameter grid. Cells() expands the cross product of the
 // axes; nil axes get a single experiment-appropriate default, so a
 // zero-ish Grid is one cell. Axis values must be distinct: the
@@ -153,8 +157,8 @@ func (e Experiment) usesRulesAxis() bool { return e == ExpPing || e == ExpSwarm 
 
 // usesWindowAxis reports whether the experiment reads the flow-model
 // batch-window axis: the vnet families whose runners take a network
-// config (a scenario spec owns its own flow_window knob; the DHT and
-// gossip models keep their fixed signatures; sched has no network).
+// config (a scenario cell's spec owns its own flow_window knob; the
+// DHT and gossip families do not sweep it; sched has no network).
 func (e Experiment) usesWindowAxis() bool {
 	return e == ExpSwarm || e == ExpChurn || e == ExpPing || e == ExpSnapshotSync
 }
@@ -208,17 +212,20 @@ func (g Grid) Cells() ([]Cell, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{1}
 	}
+	if exp == ExpScenario || exp.specBacked() {
+		for _, s := range seeds {
+			// Seed 0 means "use the spec's own seed" (scenario.Options),
+			// and a spec maps seed 0 to 1, so it would silently duplicate
+			// another cell.
+			if s == 0 {
+				return nil, fmt.Errorf("exp: %s sweeps need nonzero seeds (a scenario spec maps 0 to another seed)", exp)
+			}
+		}
+	}
 	scenarios := g.Scenarios
 	if exp == ExpScenario {
 		if len(scenarios) == 0 {
 			scenarios = scenario.Names() // default: the whole corpus
-		}
-		for _, s := range seeds {
-			// Seed 0 means "use the spec's own seed" (scenario.Options),
-			// so it would silently duplicate that seed's cell.
-			if s == 0 {
-				return nil, fmt.Errorf("exp: scenario sweeps need nonzero seeds (0 falls back to the spec's seed)")
-			}
 		}
 		seenScenario := map[string]bool{}
 		for _, name := range scenarios {
@@ -298,6 +305,19 @@ func (g Grid) Cells() ([]Cell, error) {
 			return nil, fmt.Errorf("exp: %s ignores the piece-size, conn-cap and rate axes", exp)
 		}
 		pieceSizes, connCaps, rates = []int{0}, []int{0}, []int64{0}
+	}
+
+	// Bound the cross product before expanding it: a grid may arrive
+	// from outside the program (a serve request body), and a few long
+	// axes multiply into more cells than any machine can hold.
+	size := 1
+	for _, n := range []int{len(peers), len(churns), len(classes), len(models), len(windows),
+		len(scenarios), len(ruleCounts), len(classifiers), len(pieceSizes), len(connCaps),
+		len(rates), len(seeds)} {
+		size *= n
+		if size > maxGridCells {
+			return nil, fmt.Errorf("exp: grid axes multiply to more than %d cells", maxGridCells)
+		}
 	}
 
 	if !exp.usesPeersAxis() && len(peers) > 1 {
@@ -685,7 +705,7 @@ func RunCell(c Cell) (*metrics.Snapshot, error) {
 	if c.Experiment.usesRulesAxis() {
 		snap.Label("rules", fmt.Sprintf("%d", c.Rules))
 		// The swarm families run with no firewall at all when Rules ==
-		// 0 (fillerRules returns nil), so a classifier label there
+		// 0 (Cell.Spec sets no filler rules), so a classifier label there
 		// would claim a classifier that never ran; ping always installs
 		// the table, empty or not.
 		if c.Rules > 0 || c.Experiment == ExpPing {
@@ -695,25 +715,18 @@ func RunCell(c Cell) (*metrics.Snapshot, error) {
 	snap.Label("seed", fmt.Sprintf("%d", c.Seed))
 
 	var err error
-	switch c.Experiment {
-	case ExpSwarm, ExpChurn:
-		if c.Churn > 0 {
-			err = runChurnCell(c, snap)
-		} else {
-			err = runSwarmCell(c, snap)
+	switch {
+	case c.Experiment.specBacked():
+		var res *scenario.Result
+		if res, err = runSpec(c); err == nil {
+			copyMetrics(snap, res.Snapshot)
 		}
-	case ExpDHT:
-		err = runDHTCell(c, snap)
-	case ExpGossip:
-		err = runGossipCell(c, snap)
-	case ExpSched:
+	case c.Experiment == ExpSched:
 		err = runSchedCell(c, snap)
-	case ExpScenario:
+	case c.Experiment == ExpScenario:
 		err = runScenarioCell(c, snap)
-	case ExpPing:
+	case c.Experiment == ExpPing:
 		err = runPingCell(c, snap)
-	case ExpSnapshotSync:
-		err = runSnapshotCell(c, snap)
 	default:
 		err = fmt.Errorf("unknown experiment %q", c.Experiment)
 	}
@@ -721,6 +734,87 @@ func RunCell(c Cell) (*metrics.Snapshot, error) {
 		return nil, err
 	}
 	return snap, nil
+}
+
+// specBacked reports whether the experiment's cells run as scenario
+// specs built by Cell.Spec.
+func (e Experiment) specBacked() bool {
+	return e == ExpSwarm || e == ExpChurn || e == ExpSnapshotSync || e == ExpDHT || e == ExpGossip
+}
+
+// Spec returns the scenario spec a swarm, churn, snapshot-sync, DHT or
+// gossip cell runs: one group of the cell's peers (plus the swarm
+// families' seeders) on the cell's predefined class at 10.0.0.0/16,
+// carrying the cell's link model, flow window, firewall padding,
+// workload knobs and horizon.
+func (c Cell) Spec() (*scenario.Spec, error) {
+	if !c.Experiment.specBacked() {
+		return nil, fmt.Errorf("exp: %s cells do not run as a one-group scenario spec", c.Experiment)
+	}
+	if cl, ok := topo.ClassByName(c.Class.Name); !ok || cl != c.Class {
+		return nil, fmt.Errorf("exp: link class %q is not a predefined class", c.Class.Name)
+	}
+	if c.Seed == 0 {
+		// A spec maps seed 0 to 1, which would silently run another cell.
+		return nil, fmt.Errorf("exp: %s cells need a nonzero seed", c.Experiment)
+	}
+	nodes := c.Peers
+	var w scenario.WorkloadSpec
+	switch c.Experiment {
+	case ExpSwarm, ExpChurn:
+		w = scenario.WorkloadSpec{Kind: scenario.WorkloadSwarm, FileSize: int64(c.fileSize),
+			Seeders: 2, StartInterval: scenario.Duration(2 * time.Second)}
+		if c.Churn > 0 {
+			w.Kind = scenario.WorkloadChurnSwarm
+			w.ChurnFraction = c.Churn
+		} else if c.Peers >= 40 {
+			w.Seeders = 4
+		}
+		nodes += w.Seeders
+	case ExpSnapshotSync:
+		w = scenario.WorkloadSpec{Kind: scenario.WorkloadSnapshot, FileSize: int64(c.fileSize),
+			Seeders: 1, WebSeeds: 1, StartInterval: scenario.Duration(time.Second),
+			PieceLength: c.PieceSize, ConnCap: c.ConnCap, UpRate: c.Rate, DownRate: c.Rate}
+		nodes += w.Seeders
+	case ExpDHT:
+		w = scenario.WorkloadSpec{Kind: scenario.WorkloadDHT, Lookups: c.lookups}
+	case ExpGossip:
+		w = scenario.WorkloadSpec{Kind: scenario.WorkloadGossip, Fanout: c.fanout}
+	}
+	sp := &scenario.Spec{
+		Name:       string(c.Experiment),
+		Model:      c.Model.String(),
+		Seed:       c.Seed,
+		Horizon:    scenario.Duration(c.horizon),
+		FlowWindow: scenario.Duration(c.Window),
+		Groups:     []scenario.GroupSpec{{Name: "peers", Class: c.Class.Name, Nodes: nodes, Prefix: "10.0.0.0/16"}},
+		Workload:   w,
+	}
+	if c.Rules > 0 {
+		sp.FillerRules = c.Rules
+		sp.Classifier = c.Classifier.String()
+	}
+	return sp, nil
+}
+
+// runSpec runs a spec-backed cell's scenario on a fresh kernel.
+func runSpec(c Cell) (*scenario.Result, error) {
+	sp, err := c.Spec()
+	if err != nil {
+		return nil, err
+	}
+	return scenario.Run(sp, scenario.Options{})
+}
+
+// copyMetrics copies a run's measurements into a cell snapshot, which
+// keeps its own labels.
+func copyMetrics(dst, src *metrics.Snapshot) {
+	for k, v := range src.Values {
+		dst.Set(k, v)
+	}
+	for k, v := range src.Counters {
+		dst.Count(k, v)
+	}
 }
 
 // runPingCell sweeps the Fig 6 measurement: RTT against rule-table
@@ -745,153 +839,6 @@ func runPingCell(c Cell, snap *metrics.Snapshot) error {
 	return nil
 }
 
-func runSwarmCell(c Cell, snap *metrics.Snapshot) error {
-	seeders := 2
-	if c.Peers >= 40 {
-		seeders = 4
-	}
-	out, err := RunSwarm(SwarmParams{
-		Clients:       c.Peers,
-		Seeders:       seeders,
-		FileSize:      int64(c.fileSize),
-		StartInterval: 2 * time.Second,
-		Class:         c.Class,
-		Model:         c.Model,
-		Window:        c.Window,
-		Rules:         c.Rules,
-		Classifier:    c.Classifier,
-		Seed:          c.Seed,
-		Horizon:       c.horizon,
-	})
-	if err != nil {
-		return err
-	}
-	done := 0
-	var last float64
-	for _, t := range out.Completions {
-		if t > 0 {
-			done++
-			if t.Seconds() > last {
-				last = t.Seconds()
-			}
-		}
-	}
-	snap.Set("clients-done", float64(done))
-	snap.Set("done-fraction", float64(done)/float64(len(out.Completions)))
-	snap.Set("last-completion-s", last)
-	snap.Set("ended-s", out.EndedAt.Seconds())
-	addKernelNetCounters(snap, out.Kernel.Events, out.Kernel.Switches, out.Kernel.Spawns,
-		out.Net.MessagesSent, out.Net.MessagesDelivered, out.Net.MessagesDropped,
-		out.Net.Retransmits, out.Net.BytesDelivered)
-	return nil
-}
-
-// runSnapshotCell sweeps the snapshot-sync workload: completion time
-// of a few rate-capped clients pulling a huge file in large pieces
-// from a seeder plus a web seed.
-func runSnapshotCell(c Cell, snap *metrics.Snapshot) error {
-	out, err := RunSnapshotSync(SnapshotSyncParams{
-		Clients:       c.Peers,
-		Seeders:       1,
-		WebSeeds:      1,
-		FileSize:      int64(c.fileSize),
-		PieceLength:   c.PieceSize,
-		ConnCap:       c.ConnCap,
-		UpRate:        c.Rate,
-		DownRate:      c.Rate,
-		StartInterval: time.Second,
-		Class:         c.Class,
-		Model:         c.Model,
-		Window:        c.Window,
-		Seed:          c.Seed,
-		Horizon:       c.horizon,
-	})
-	if err != nil {
-		return err
-	}
-	done := 0
-	var last, sum float64
-	for _, t := range out.Completions {
-		if t > 0 {
-			done++
-			sum += t.Seconds()
-			if t.Seconds() > last {
-				last = t.Seconds()
-			}
-		}
-	}
-	snap.Set("clients-done", float64(done))
-	snap.Set("done-fraction", float64(done)/float64(len(out.Completions)))
-	snap.Set("last-completion-s", last)
-	if done > 0 {
-		snap.Set("mean-completion-s", sum/float64(done))
-		// Per-client goodput over the slowest completion: the figure of
-		// merit the piece-size × conn-cap × rate grid is swept for.
-		snap.Set("goodput-mbps", float64(c.fileSize)*8/(last*1e6))
-	}
-	snap.Set("ended-s", out.EndedAt.Seconds())
-	snap.Count("webseed-bytes", out.WebSeedBytes)
-	addKernelNetCounters(snap, out.Kernel.Events, out.Kernel.Switches, out.Kernel.Spawns,
-		out.Net.MessagesSent, out.Net.MessagesDelivered, out.Net.MessagesDropped,
-		out.Net.Retransmits, out.Net.BytesDelivered)
-	return nil
-}
-
-func runChurnCell(c Cell, snap *metrics.Snapshot) error {
-	out, err := RunChurnSwarm(ChurnSwarmParams{
-		Clients:       c.Peers,
-		Seeders:       2,
-		FileSize:      int64(c.fileSize),
-		Class:         c.Class,
-		StartInterval: 2 * time.Second,
-		ChurnFraction: c.Churn,
-		Session:       DefaultChurnSwarmParams().Session,
-		Downtime:      DefaultChurnSwarmParams().Downtime,
-		Model:         c.Model,
-		Window:        c.Window,
-		Rules:         c.Rules,
-		Classifier:    c.Classifier,
-		Seed:          c.Seed,
-		Horizon:       c.horizon,
-	})
-	if err != nil {
-		return err
-	}
-	total := out.StableTotal + out.ChurnTotal
-	snap.Set("clients-done", float64(out.StableDone+out.ChurnDone))
-	snap.Set("done-fraction", float64(out.StableDone+out.ChurnDone)/float64(total))
-	snap.Set("stable-done", float64(out.StableDone))
-	snap.Set("churn-done", float64(out.ChurnDone))
-	snap.Set("ended-s", out.EndedAt.Seconds())
-	snap.Count("arrivals", uint64(out.Arrivals))
-	snap.Count("departures", uint64(out.Departures))
-	return nil
-}
-
-func runDHTCell(c Cell, snap *metrics.Snapshot) error {
-	pt, err := DHTRingModel(c.Peers, c.lookups, c.Class, c.Model, c.Seed)
-	if err != nil {
-		return err
-	}
-	snap.Set("avg-hops", pt.AvgHops)
-	snap.Set("avg-latency-ms", pt.AvgLatency.Seconds()*1000)
-	snap.Set("p90-latency-ms", pt.P90Latency.Seconds()*1000)
-	snap.Count("timeouts", pt.Timeouts)
-	return nil
-}
-
-func runGossipCell(c Cell, snap *metrics.Snapshot) error {
-	pt, err := GossipSpreadModel(c.Peers, c.fanout, c.Class, c.Model, c.Seed)
-	if err != nil {
-		return err
-	}
-	snap.Set("coverage", pt.Coverage)
-	snap.Set("t50-s", pt.T50.Seconds())
-	snap.Set("t100-s", pt.T100.Seconds())
-	snap.Count("pushes", pt.Pushes)
-	return nil
-}
-
 // runScenarioCell runs one corpus scenario under the cell's seed and
 // copies its workload metrics into the cell snapshot.
 func runScenarioCell(c Cell, snap *metrics.Snapshot) error {
@@ -905,12 +852,7 @@ func runScenarioCell(c Cell, snap *metrics.Snapshot) error {
 	}
 	snap.Label("workload", sp.Workload.Kind)
 	snap.Label("model", res.Model.String())
-	for k, v := range res.Snapshot.Values {
-		snap.Set(k, v)
-	}
-	for k, v := range res.Snapshot.Counters {
-		snap.Count(k, v)
-	}
+	copyMetrics(snap, res.Snapshot)
 	return nil
 }
 
@@ -923,16 +865,4 @@ func runSchedCell(c Cell, snap *metrics.Snapshot) error {
 		snap.Set("makespan-s/"+kind.String(), res.Makespan.Seconds())
 	}
 	return nil
-}
-
-func addKernelNetCounters(snap *metrics.Snapshot, events, switches, spawns,
-	sent, delivered, dropped, retrans, bytes uint64) {
-	snap.Count("kernel-events", events)
-	snap.Count("kernel-switches", switches)
-	snap.Count("kernel-spawns", spawns)
-	snap.Count("net-sent", sent)
-	snap.Count("net-delivered", delivered)
-	snap.Count("net-dropped", dropped)
-	snap.Count("net-retransmits", retrans)
-	snap.Count("net-bytes", bytes)
 }

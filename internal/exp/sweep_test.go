@@ -376,3 +376,64 @@ func TestSweepSwarmAndChurnCells(t *testing.T) {
 		t.Fatal("swarm cell recorded no kernel activity")
 	}
 }
+
+// TestGridRejectsOversizedProduct: a grid whose axes multiply to about
+// 10^12 cells is rejected by the size cap before anything is expanded.
+func TestGridRejectsOversizedProduct(t *testing.T) {
+	g := Grid{Experiment: ExpSwarm}
+	for i := 0; i < 1000; i++ {
+		g.Peers = append(g.Peers, i+2)
+		g.Churn = append(g.Churn, float64(i)/1000)
+		g.Rules = append(g.Rules, i)
+		g.Seeds = append(g.Seeds, int64(i+1))
+	}
+	start := time.Now()
+	cells, err := g.Cells()
+	if err == nil || !strings.Contains(err.Error(), "more than") {
+		t.Fatalf("10^12-cell grid: %d cells, err %v; want the size-cap error", len(cells), err)
+	}
+	if wall := time.Since(start); wall > 5*time.Second {
+		t.Errorf("rejecting the grid took %v", wall)
+	}
+	// The same grid with one value per axis but the seeds expands.
+	small := Grid{Experiment: ExpSwarm, Peers: g.Peers[:1], Churn: g.Churn[:1], Seeds: g.Seeds}
+	if cells, err := small.Cells(); err != nil || len(cells) != 1000 {
+		t.Fatalf("1000-cell grid: %d cells, err %v", len(cells), err)
+	}
+}
+
+// TestGridRejectsSeedZero: a spec maps seed 0 to 1, so every
+// spec-backed family rejects it like the scenario family does.
+func TestGridRejectsSeedZero(t *testing.T) {
+	for _, e := range []Experiment{ExpSwarm, ExpChurn, ExpSnapshotSync, ExpDHT, ExpGossip, ExpScenario} {
+		if _, err := (Grid{Experiment: e, Seeds: []int64{0, 1}}).Cells(); err == nil {
+			t.Errorf("%s accepted seed 0", e)
+		}
+	}
+	for _, e := range []Experiment{ExpSched, ExpPing} {
+		if _, err := (Grid{Experiment: e, Seeds: []int64{0}}).Cells(); err != nil {
+			t.Errorf("%s rejected seed 0: %v", e, err)
+		}
+	}
+}
+
+// TestCellSpecRejects: a spec-backed cell needs a predefined link
+// class (a spec names its class), and a population above the spec's
+// group cap fails with the spec's validation error.
+func TestCellSpecRejects(t *testing.T) {
+	custom := topo.LAN
+	custom.Latency *= 2
+	if _, err := DHTRing(8, 10, custom, 1); err == nil || !strings.Contains(err.Error(), "not a predefined class") {
+		t.Errorf("custom class: err = %v", err)
+	}
+	if _, err := GossipSpread(8, 3, topo.LAN, 0); err == nil {
+		t.Error("seed 0 accepted")
+	}
+	cells, err := Grid{Experiment: ExpGossip, Peers: []int{9000}}.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunCell(cells[0]); err == nil || !strings.Contains(err.Error(), "nodes outside") {
+		t.Errorf("9000-peer cell: err = %v", err)
+	}
+}

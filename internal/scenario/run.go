@@ -63,15 +63,19 @@ type Result struct {
 	// Swarm family.
 	Completions []sim.Time // per client, zero = unfinished
 	Done, Total int        // clients completed / total clients
+	Churners    int        // churn-swarm: clients under the churn process
+	ChurnDone   int        // churn-swarm: churners that completed
 	Arrivals    int        // churn-swarm: sessions started
 	Departures  int
 
 	// DHT.
 	AvgHops    float64
 	AvgLatency time.Duration
+	P90Latency time.Duration
 
 	// Gossip.
 	Coverage float64
+	T50      time.Duration // time to half coverage
 	T100     time.Duration
 }
 
@@ -176,8 +180,7 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 		if sp.Classifier != "" {
 			classifier, _ = netem.ParseClassifier(sp.Classifier)
 		}
-		r.rules = netem.NewRuleSet()
-		r.rules.SetClassifier(classifier)
+		r.rules = netem.NewFillerTable(sp.FillerRules, classifier)
 		ncfg.Rules = r.rules
 	}
 	r.net = vnet.NewNetwork(r.k, &vnet.TopoFabric{Topo: t}, ncfg)
@@ -224,10 +227,14 @@ func Run(sp *Spec, opt Options) (*Result, error) {
 	res.Kernel = r.k.Snapshot()
 	res.Net = r.net.Stats()
 	res.Snapshot.Set("ended-s", res.EndedAt.Seconds())
+	res.Snapshot.Count("kernel-events", res.Kernel.Events)
+	res.Snapshot.Count("kernel-switches", res.Kernel.Switches)
+	res.Snapshot.Count("kernel-spawns", res.Kernel.Spawns)
 	res.Snapshot.Count("net-sent", res.Net.MessagesSent)
 	res.Snapshot.Count("net-delivered", res.Net.MessagesDelivered)
 	res.Snapshot.Count("net-dropped", res.Net.MessagesDropped)
 	res.Snapshot.Count("net-retransmits", res.Net.Retransmits)
+	res.Snapshot.Count("net-bytes", res.Net.BytesDelivered)
 	if r.rules != nil {
 		evals, visited := r.rules.EvalStats()
 		res.Snapshot.Label("classifier", r.rules.Classifier().String())
@@ -578,16 +585,22 @@ func (r *runner) startSwarm(churned bool) error {
 				}
 			}
 		}
+		res.Churners = len(churners)
 		for _, cc := range churners {
 			if cc.Done() {
-				res.Done++
+				res.ChurnDone++
 			}
 		}
+		res.Done += res.ChurnDone
 		if driver != nil {
 			st := driver.Stats()
 			res.Arrivals, res.Departures = st.Arrivals, st.Departures
-			res.Snapshot.Count("arrivals", uint64(st.Arrivals))
-			res.Snapshot.Count("departures", uint64(st.Departures))
+		}
+		if churned {
+			res.Snapshot.Count("arrivals", uint64(res.Arrivals))
+			res.Snapshot.Count("departures", uint64(res.Departures))
+			res.Snapshot.Set("stable-done", float64(res.Done-res.ChurnDone))
+			res.Snapshot.Set("churn-done", float64(res.ChurnDone))
 		}
 		res.Snapshot.Set("clients-done", float64(res.Done))
 		res.Snapshot.Set("done-fraction", float64(res.Done)/float64(res.Total))
@@ -612,6 +625,7 @@ func (r *runner) startDHT() error {
 	var avgHops float64
 	var avgLat time.Duration
 	var done int
+	var latencies []float64 // per successful lookup, in ms
 	r.k.Go("scenario-measure", func(p *sim.Proc) {
 		p.Sleep(warm)
 		totalHops := 0
@@ -624,6 +638,7 @@ func (r *runner) startDHT() error {
 			done++
 			totalHops += res.Hops
 			totalLat += res.Latency
+			latencies = append(latencies, res.Latency.Seconds()*1000)
 		}
 		if done > 0 {
 			avgHops = float64(totalHops) / float64(done)
@@ -635,6 +650,9 @@ func (r *runner) startDHT() error {
 	r.finish = func(res *Result) {
 		res.AvgHops = avgHops
 		res.AvgLatency = avgLat
+		if len(latencies) > 0 {
+			res.P90Latency = time.Duration(metrics.Summarize(latencies).P90 * float64(time.Millisecond))
+		}
 		res.Done, res.Total = done, w.Lookups
 		var timeouts uint64
 		for _, nd := range nodes {
@@ -642,6 +660,7 @@ func (r *runner) startDHT() error {
 		}
 		res.Snapshot.Set("avg-hops", avgHops)
 		res.Snapshot.Set("avg-latency-ms", avgLat.Seconds()*1000)
+		res.Snapshot.Set("p90-latency-ms", res.P90Latency.Seconds()*1000)
 		res.Snapshot.Set("lookups-done", float64(done))
 		res.Snapshot.Count("timeouts", timeouts)
 	}
@@ -665,7 +684,7 @@ func (r *runner) startGossip() error {
 
 	var coveredFinal int
 	var coverage float64
-	var t100 time.Duration
+	var t50, t100 time.Duration
 	var pushes uint64
 	r.k.Go("scenario-driver", func(p *sim.Proc) {
 		p.Sleep(time.Second)
@@ -686,6 +705,9 @@ func (r *runner) startGossip() error {
 					covered++
 				}
 			}
+			if t50 == 0 && covered*2 >= n {
+				t50 = p.Now().Sub(start)
+			}
 			if covered == n {
 				t100 = p.Now().Sub(start)
 				break
@@ -705,10 +727,12 @@ func (r *runner) startGossip() error {
 
 	r.finish = func(res *Result) {
 		res.Coverage = coverage
+		res.T50 = t50
 		res.T100 = t100
 		res.Done = coveredFinal
 		res.Total = len(nodes)
 		res.Snapshot.Set("coverage", coverage)
+		res.Snapshot.Set("t50-s", t50.Seconds())
 		res.Snapshot.Set("t100-s", t100.Seconds())
 		res.Snapshot.Count("pushes", pushes)
 	}

@@ -135,6 +135,8 @@ func TestValidationRejects(t *testing.T) {
 		{"add-rule too many copies", func(s *Spec) {
 			s.Timeline = []EventSpec{{Action: ActionAddRule, Rule: "count", Copies: maxRuleCopies + 1}}
 		}, "copies outside"},
+		{"negative filler rules", func(s *Spec) { s.FillerRules = -1 }, "filler rules outside"},
+		{"too many filler rules", func(s *Spec) { s.FillerRules = maxRuleCopies + 1 }, "filler rules outside"},
 		{"add-rule with for", func(s *Spec) {
 			s.Timeline = []EventSpec{{Action: ActionAddRule, Rule: "count", For: Duration(time.Second)}}
 		}, "does not support a duration"},
@@ -411,6 +413,34 @@ func TestFirewallTimeline(t *testing.T) {
 	if cut.Done == cut.Total && lastOf(cut) <= lastOf(baseline) {
 		t.Errorf("deny-prefix did not slow the swarm: baseline %gs, firewalled %gs",
 			lastOf(baseline), lastOf(cut))
+	}
+}
+
+// TestFillerRules: filler_rules gives the run a firewall padded with
+// never-matching rules, so every message pays the scan under the
+// linear classifier and none of it under the indexed one.
+func TestFillerRules(t *testing.T) {
+	run := func(classifier string) *Result {
+		sp := testSwarmSpec()
+		sp.FillerRules, sp.Classifier = 2000, classifier
+		res, err := Run(sp, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Snapshot.Labels["classifier"]; got != classifier {
+			t.Fatalf("classifier label = %q, want %q", got, classifier)
+		}
+		return res
+	}
+	linear, indexed := run("linear"), run("indexed")
+	if linear.Snapshot.Counters["fw-visited"] == 0 {
+		t.Error("linear scan visited no filler rules")
+	}
+	if indexed.Snapshot.Counters["fw-visited"] != 0 {
+		t.Errorf("indexed classifier visited %d filler rules, want 0", indexed.Snapshot.Counters["fw-visited"])
+	}
+	if linear.EndedAt <= indexed.EndedAt {
+		t.Errorf("linear scan (%v) not slower than indexed (%v)", linear.EndedAt, indexed.EndedAt)
 	}
 }
 

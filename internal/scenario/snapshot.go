@@ -107,10 +107,11 @@ func (r *runner) startSnapshot() error {
 	r.finish = func(res *Result) {
 		res.Completions = swarm.CompletionTimes()
 		res.Total = len(clients)
-		var last float64
+		var last, sum float64
 		for _, t := range res.Completions {
 			if t > 0 {
 				res.Done++
+				sum += t.Seconds()
 				if t.Seconds() > last {
 					last = t.Seconds()
 				}
@@ -123,6 +124,12 @@ func (r *runner) startSnapshot() error {
 		res.Snapshot.Set("clients-done", float64(res.Done))
 		res.Snapshot.Set("done-fraction", float64(res.Done)/float64(res.Total))
 		res.Snapshot.Set("last-completion-s", last)
+		if res.Done > 0 {
+			res.Snapshot.Set("mean-completion-s", sum/float64(res.Done))
+			// Per-client goodput over the slowest completion: the figure
+			// of merit a piece-size × conn-cap × rate sweep compares.
+			res.Snapshot.Set("goodput-mbps", float64(w.FileSize)*8/(last*1e6))
+		}
 		res.Snapshot.Count("webseed-bytes", wsBytes)
 	}
 	return nil

@@ -2,10 +2,9 @@
 // composes a topology (node groups with access-link classes and
 // inter-group latencies), a link model (pipe or flow), a workload
 // (swarm, churn-swarm, snapshot, DHT, gossip) and a timeline of
-// scheduled
-// network events — partitions and heals between node groups, runtime
-// link-class changes (degrade/restore), loss bursts and interface
-// flaps. Specs are plain Go values, JSON-loadable, and runnable by
+// scheduled network events — partitions and heals between node groups,
+// runtime link-class changes (degrade/restore), loss bursts and
+// interface flaps. Specs are plain Go values, JSON-loadable, and runnable by
 // name from the committed corpus (see corpus.go, `p2plab run`).
 //
 // This is the layer the paper's testbed reaches with hand-edited
@@ -146,7 +145,8 @@ var actions = []string{ActionPartition, ActionHeal, ActionSetClass, ActionLoss,
 // ruleActions lists the rule bodies an add-rule event may install.
 var ruleActions = []string{"count", "deny", "allow"}
 
-// maxRuleCopies caps one add-rule event's filler batch.
+// maxRuleCopies caps one add-rule event's filler batch and a spec's
+// filler_rules padding.
 const maxRuleCopies = 100000
 
 // EventSpec is one scheduled network event on the scenario timeline.
@@ -213,17 +213,23 @@ type Spec struct {
 	// event on the timeline — gives the network a firewall table;
 	// otherwise the run has none (vnet.Config.Rules == nil) and its
 	// trace is byte-identical to pre-firewall builds.
-	Classifier string        `json:"classifier,omitempty"`
-	Groups     []GroupSpec   `json:"groups"`
-	Latencies  []LatencySpec `json:"latencies,omitempty"`
-	Workload   WorkloadSpec  `json:"workload"`
-	Timeline   []EventSpec   `json:"timeline,omitempty"`
+	Classifier string `json:"classifier,omitempty"`
+	// FillerRules pads the firewall table with this many filler rules
+	// that never match workload traffic (netem.NewFillerTable), so every
+	// message pays the classification cost — the Fig 6 artifact applied
+	// to a whole workload. A positive value enables the firewall.
+	FillerRules int           `json:"filler_rules,omitempty"`
+	Groups      []GroupSpec   `json:"groups"`
+	Latencies   []LatencySpec `json:"latencies,omitempty"`
+	Workload    WorkloadSpec  `json:"workload"`
+	Timeline    []EventSpec   `json:"timeline,omitempty"`
 }
 
 // FirewallEnabled reports whether the run carries a firewall table: an
-// explicit classifier or any rule event on the timeline enables it.
+// explicit classifier, filler rules or any rule event on the timeline
+// enables it.
 func (s *Spec) FirewallEnabled() bool {
-	if s.Classifier != "" {
+	if s.Classifier != "" || s.FillerRules > 0 {
 		return true
 	}
 	for _, ev := range s.Timeline {
@@ -352,6 +358,9 @@ func (s *Spec) Validate() error {
 		if _, err := netem.ParseClassifier(s.Classifier); err != nil {
 			return fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
+	}
+	if s.FillerRules < 0 || s.FillerRules > maxRuleCopies {
+		return fmt.Errorf("scenario %s: %d filler rules outside [0,%d]", s.Name, s.FillerRules, maxRuleCopies)
 	}
 	if s.Horizon <= 0 {
 		return fmt.Errorf("scenario %s: horizon %v not positive", s.Name, s.Horizon)

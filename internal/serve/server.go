@@ -13,6 +13,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -251,9 +252,19 @@ func buildGrid(req *SweepRequest) (exp.Grid, error) {
 	return g, nil
 }
 
+// maxRequestBytes caps a job submission body: the largest legitimate
+// body, an inline spec at its timeline cap, is a few hundred KB.
+const maxRequestBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -349,6 +350,23 @@ func TestServeValidation(t *testing.T) {
 		}
 	}
 
+	// A body past the size cap is refused before it is decoded.
+	big := `{"scenario": "flash-crowd", "pad": "` + strings.Repeat("x", maxRequestBytes) + `"}`
+	if code, _ := postJob(t, ts.URL, big); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body = %d, want %d", code, http.StatusRequestEntityTooLarge)
+	}
+	// A grid whose axes multiply to about 10^12 cells is a 400.
+	var ints, fracs []string
+	for i := 1; i <= 1000; i++ {
+		ints = append(ints, fmt.Sprint(i))
+		fracs = append(fracs, fmt.Sprint(float64(i-1)/1000))
+	}
+	axis := strings.Join(ints, ",")
+	grid := `{"kind": "sweep", "sweep": {"experiment": "swarm", "peers": [` + axis + `], "rules": [` + axis +
+		`], "seeds": [` + axis + `], "churn": [` + strings.Join(fracs, ",") + `]}}`
+	if code, body := postJob(t, ts.URL, grid); code != http.StatusBadRequest {
+		t.Errorf("10^12-cell grid = %d (%v), want %d", code, body, http.StatusBadRequest)
+	}
 	getJSON(t, ts.URL+"/api/v1/jobs/nope", http.StatusNotFound)
 	getJSON(t, ts.URL+"/api/v1/jobs/nope/result", http.StatusNotFound)
 }
